@@ -227,12 +227,13 @@ func (c *Cluster) NowNanos() float64 { return c.sim.Eng.Now().Nanos() }
 type EngineStats struct {
 	// Events counts dispatched events.
 	Events uint64
-	// CancelledDrops counts cancelled events discarded from the queue head
-	// (scheduling churn the heap paid for without doing work).
+	// CancelledDrops counts queue entries of stopped or superseded timers
+	// discarded from the queue head (scheduling churn the heap paid for
+	// without doing work).
 	CancelledDrops uint64
 	// MaxHeapDepth is the event-queue high-water mark.
 	MaxHeapDepth int
-	// MaxLive is the high-water mark of pending not-cancelled events.
+	// MaxLive is the high-water mark of pending events that can still fire.
 	MaxLive int
 }
 

@@ -29,6 +29,12 @@ type Wire struct {
 	src     *Port    // the port that transmits onto this wire
 	comp    sim.Comp // profiler attribution of delivery events at dst
 
+	// inflight holds the packets propagating on the wire. Every packet
+	// takes the same delay, so arrivals fire in the order packets entered,
+	// and the arrival event (arrive, bound once to land) pops the head.
+	inflight pktRing
+	arrive   func()
+
 	// Fault-injection state (package faults drives these): an admin-down
 	// wire silently discards everything handed to it; lossRate models
 	// time-varying BER loss; burstDrop discards the next N packets (a
@@ -52,7 +58,9 @@ type Wire struct {
 // NewWire creates a wire with the given propagation delay, terminating at
 // dst's ingress index.
 func NewWire(eng *sim.Engine, delay units.Time, dst Receiver, ingress int) *Wire {
-	return &Wire{eng: eng, delay: delay, dst: dst, ingress: ingress, comp: sim.CompFabric}
+	w := &Wire{eng: eng, delay: delay, dst: dst, ingress: ingress, comp: sim.CompFabric}
+	w.arrive = w.land
+	return w
 }
 
 // IngressNode is a receiver that tracks its arriving wires (switches need
@@ -65,7 +73,7 @@ type IngressNode interface {
 // Attach creates a wire into dst and registers it as an ingress, returning
 // the wire ready to be used as a port's output.
 func Attach(eng *sim.Engine, delay units.Time, dst IngressNode) *Wire {
-	w := &Wire{eng: eng, delay: delay, dst: dst, comp: sim.CompFabric}
+	w := NewWire(eng, delay, dst, 0)
 	w.ingress = dst.AddIngress(w)
 	return w
 }
@@ -108,12 +116,16 @@ func (w *Wire) Deliver(p *packet.Packet) {
 		// duplicate. The original arrives first, the copy right behind it
 		// (same arrival time, FIFO event order).
 		cp := *p
-		w.eng.AfterComp(w.delay, w.comp, func() { w.dst.Receive(p, w.ingress) })
-		w.eng.AfterComp(w.delay, w.comp, func() { w.dst.Receive(&cp, w.ingress) })
-		return
+		w.inflight.push(p)
+		w.eng.AfterComp(w.delay, w.comp, w.arrive)
+		p = &cp
 	}
-	w.eng.AfterComp(w.delay, w.comp, func() { w.dst.Receive(p, w.ingress) })
+	w.inflight.push(p)
+	w.eng.AfterComp(w.delay, w.comp, w.arrive)
 }
+
+// land delivers the packet at the head of the wire to its destination.
+func (w *Wire) land() { w.dst.Receive(w.inflight.pop(), w.ingress) }
 
 // SetAdminDown takes the wire administratively down or up. While down,
 // every packet handed to the wire is silently discarded.
@@ -182,7 +194,11 @@ type Port struct {
 	sched Scheduler
 	comp  sim.Comp // profiler attribution of tx-completion events
 
-	busy        bool
+	// tx is the packet being serialized (nil when idle); txDone, bound once
+	// to finishTx, is the tx-completion event.
+	tx     *packet.Packet
+	txDone func()
+
 	dataPaused  bool
 	forcedPause bool // fault injection: held paused regardless of PFC
 
@@ -205,6 +221,7 @@ type Port struct {
 // NewPort creates a port transmitting at rate onto wire, fed by sched.
 func NewPort(eng *sim.Engine, rate units.Rate, wire *Wire, sched Scheduler) *Port {
 	p := &Port{eng: eng, rate: rate, wire: wire, sched: sched, comp: sim.CompFabric}
+	p.txDone = p.finishTx
 	if wire != nil {
 		wire.src = p
 	}
@@ -271,7 +288,7 @@ func (p *Port) pauseEdge(was bool) {
 
 // Kick attempts to start transmitting the next packet. Idempotent.
 func (p *Port) Kick() {
-	if p.busy {
+	if p.tx != nil {
 		return
 	}
 	pkt := p.sched.Next(p.paused())
@@ -284,50 +301,82 @@ func (p *Port) Kick() {
 	if p.Tap != nil {
 		p.Tap(pkt)
 	}
-	p.busy = true
-	tx := units.TxTime(pkt.Size, p.rate)
+	p.tx = pkt
 	p.TxBytes += int64(pkt.Size)
 	p.TxPackets++
-	p.eng.AfterComp(tx, p.comp, func() {
-		p.busy = false
-		p.wire.Deliver(pkt)
-		p.Kick()
-	})
+	p.eng.AfterComp(units.TxTime(pkt.Size, p.rate), p.comp, p.txDone)
+}
+
+// finishTx ends the current serialization: the packet goes onto the wire
+// and the port pulls its next one.
+func (p *Port) finishTx() {
+	pkt := p.tx
+	p.tx = nil
+	p.wire.Deliver(pkt)
+	p.Kick()
 }
 
 // Busy reports whether a packet is currently being serialized.
-func (p *Port) Busy() bool { return p.busy }
+func (p *Port) Busy() bool { return p.tx != nil }
 
-// fifoQueue is a simple byte-counted FIFO of packets.
+// pktRing is a FIFO of packets in a power-of-two ring. It doubles when
+// full and never shrinks, so a queue that stays busy reuses its slots.
+type pktRing struct {
+	buf  []*packet.Packet
+	head int
+	n    int
+}
+
+func (r *pktRing) push(p *packet.Packet) {
+	if r.n == len(r.buf) {
+		nb := make([]*packet.Packet, max(8, 2*len(r.buf)))
+		k := copy(nb, r.buf[r.head:])
+		copy(nb[k:], r.buf[:r.head])
+		r.buf, r.head = nb, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = p
+	r.n++
+}
+
+// pop removes and returns the head packet, or nil if the ring is empty.
+func (r *pktRing) pop() *packet.Packet {
+	if r.n == 0 {
+		return nil
+	}
+	p := r.buf[r.head]
+	r.buf[r.head] = nil
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return p
+}
+
+// peek returns the head packet without removing it; the ring must not be
+// empty.
+func (r *pktRing) peek() *packet.Packet { return r.buf[r.head] }
+
+// fifoQueue is a byte-counted FIFO of packets.
 type fifoQueue struct {
-	pkts  []*packet.Packet
-	head  int
+	ring  pktRing
 	bytes int
 }
 
 func (q *fifoQueue) push(p *packet.Packet) {
-	q.pkts = append(q.pkts, p)
+	q.ring.push(p)
 	q.bytes += p.Size
 }
 
 func (q *fifoQueue) pop() *packet.Packet {
-	if q.head >= len(q.pkts) {
-		return nil
-	}
-	p := q.pkts[q.head]
-	q.pkts[q.head] = nil
-	q.head++
-	q.bytes -= p.Size
-	if q.head == len(q.pkts) {
-		q.pkts = q.pkts[:0]
-		q.head = 0
+	p := q.ring.pop()
+	if p != nil {
+		q.bytes -= p.Size
 	}
 	return p
 }
 
-func (q *fifoQueue) len() int     { return len(q.pkts) - q.head }
-func (q *fifoQueue) byteLen() int { return q.bytes }
-func (q *fifoQueue) empty() bool  { return q.len() == 0 }
+func (q *fifoQueue) peek() *packet.Packet { return q.ring.peek() }
+func (q *fifoQueue) len() int             { return q.ring.n }
+func (q *fifoQueue) byteLen() int         { return q.bytes }
+func (q *fifoQueue) empty() bool          { return q.ring.n == 0 }
 
 // drainInto appends every queued packet to out and empties the queue.
 func (q *fifoQueue) drainInto(out []*packet.Packet) []*packet.Packet {
@@ -354,7 +403,7 @@ func (s *FIFOScheduler) Next(dataPaused bool) *packet.Packet {
 	}
 	if dataPaused {
 		// Only a control packet at the head may pass; we do not reorder.
-		if head := s.q.pkts[s.q.head]; head.Kind == packet.KindData {
+		if s.q.peek().Kind == packet.KindData {
 			return nil
 		}
 	}

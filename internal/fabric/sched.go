@@ -66,13 +66,13 @@ func (s *drrScheduler) Next(dataPaused bool) *packet.Packet {
 	}
 	for {
 		if !s.ctrl.empty() {
-			if head := s.ctrl.pkts[s.ctrl.head]; s.ctrlDef >= head.Size {
+			if head := s.ctrl.peek(); s.ctrlDef >= head.Size {
 				s.ctrlDef -= head.Size
 				return s.ctrl.pop()
 			}
 		}
 		if !s.data.empty() && !dataPaused {
-			if head := s.data.pkts[s.data.head]; s.dataDef >= head.Size {
+			if head := s.data.peek(); s.dataDef >= head.Size {
 				s.dataDef -= head.Size
 				return s.data.pop()
 			}

@@ -131,3 +131,52 @@ func TestWRRWeightClamps(t *testing.T) {
 		t.Fatalf("feasible ratio clamped: %v", w)
 	}
 }
+
+// A queue that never empties must reuse its slots: cycling many packets
+// through it keeps the backing array at its peak occupancy, and FIFO order
+// and the byte count hold across wrap-around and growth.
+func TestFIFOQueueReusesSlots(t *testing.T) {
+	pkts := make([]*packet.Packet, 64)
+	for i := range pkts {
+		pkts[i] = dataPkt(100 + i)
+	}
+	var q fifoQueue
+	in, out := 0, 0
+	push := func() {
+		q.push(pkts[in%len(pkts)])
+		in++
+	}
+	pop := func() {
+		if p := q.pop(); p != pkts[out%len(pkts)] {
+			t.Fatalf("pop %d returned the wrong packet", out)
+		}
+		out++
+	}
+	for i := 0; i < 5; i++ {
+		push()
+	}
+	for i := 0; i < 100000; i++ {
+		push()
+		pop()
+	}
+	if c := cap(q.ring.buf); c > 8 {
+		t.Fatalf("backing array grew to %d slots for 5 queued packets", c)
+	}
+	// Grow while the head sits mid-ring, then drain in order.
+	for i := 0; i < 40; i++ {
+		push()
+	}
+	bytes := 0
+	for i := out; i < in; i++ {
+		bytes += pkts[i%len(pkts)].Size
+	}
+	if q.byteLen() != bytes || q.len() != in-out {
+		t.Fatalf("len %d bytes %d, want %d and %d", q.len(), q.byteLen(), in-out, bytes)
+	}
+	for !q.empty() {
+		pop()
+	}
+	if out != in || q.byteLen() != 0 || q.pop() != nil {
+		t.Fatalf("drain left out=%d in=%d bytes=%d", out, in, q.byteLen())
+	}
+}

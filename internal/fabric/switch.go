@@ -204,8 +204,18 @@ func (s *Switch) AddIngress(w *Wire) int {
 	return len(s.ingress) - 1
 }
 
-// SetRoutes installs the destination → candidate egress table.
+// SetRoutes installs the destination → candidate egress table. The switch
+// only reads it, so destinations may share one candidate slice.
 func (s *Switch) SetRoutes(routes [][]int) { s.routes = routes }
+
+// Route returns the candidate egress list for destination host dst (nil if
+// none). The slice belongs to the route table and must not be modified.
+func (s *Switch) Route(dst packet.NodeID) []int {
+	if int(dst) >= len(s.routes) {
+		return nil
+	}
+	return s.routes[dst]
+}
 
 // EgressAt returns egress port i.
 func (s *Switch) EgressAt(i int) *Egress { return s.egress[i] }
@@ -234,10 +244,10 @@ func (s *Switch) Receive(p *packet.Packet, ingress int) {
 }
 
 func (s *Switch) pickEgress(p *packet.Packet) int {
-	if int(p.Dst) >= len(s.routes) || len(s.routes[p.Dst]) == 0 {
+	cands := s.Route(p.Dst)
+	if len(cands) == 0 {
 		return -1
 	}
-	cands := s.routes[p.Dst]
 	if len(cands) == 1 {
 		return cands[0]
 	}

@@ -32,8 +32,9 @@ type NIC struct {
 	port *fabric.Port
 	tr   Transport
 
-	kickEv *sim.Event
-	kickAt units.Time
+	// kick is the pacing timer behind KickAt; its deadline is the earliest
+	// requested kick.
+	kick *sim.Timer
 
 	// trace, when non-nil, sees data deliveries (EvDeliver). Nil-checked at
 	// the call site so the disabled path costs one comparison.
@@ -50,7 +51,10 @@ type NIC struct {
 
 // New creates a NIC for host id with the given line rate.
 func New(eng *sim.Engine, id packet.NodeID, rate units.Rate) *NIC {
-	return &NIC{eng: eng, id: id, rate: rate}
+	n := &NIC{eng: eng, id: id, rate: rate}
+	n.kick = sim.NewTimer(eng, n.Kick)
+	n.kick.Comp = sim.CompNIC
+	return n
 }
 
 // ID returns the host's node id.
@@ -129,17 +133,10 @@ func (n *NIC) KickAt(t units.Time) {
 		n.Kick()
 		return
 	}
-	if n.kickEv != nil && !n.kickEv.Cancelled() && n.kickAt <= t {
+	if n.kick.Armed() && n.kick.Deadline() <= t {
 		return
 	}
-	if n.kickEv != nil {
-		n.kickEv.Cancel()
-	}
-	n.kickAt = t
-	n.kickEv = n.eng.AtComp(t, sim.CompNIC, func() {
-		n.kickEv = nil
-		n.Kick()
-	})
+	n.kick.Reset(t - n.eng.Now())
 }
 
 // PCIe models the host interconnect between the RNIC and host memory with

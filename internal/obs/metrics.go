@@ -154,10 +154,10 @@ func (m *Metrics) tick() {
 		s.vals = append(s.vals, s.fn())
 	}
 	// Reschedule only while other live work is pending: with this tick
-	// already popped, PendingActive()==0 means everything left is cancelled
-	// churn or nothing at all — the probe would be keeping the simulation
+	// already popped, PendingActive()==0 means everything left is stopped
+	// timers or nothing at all — the probe would be keeping the simulation
 	// alive by itself. Stop, so Engine.Run(0) still terminates at the last
-	// real event rather than chasing a lingering cancelled timer.
+	// real event rather than chasing a lingering stopped timer.
 	if m.eng.PendingActive() > 0 {
 		m.eng.AfterComp(m.interval, sim.CompProbe, m.tick)
 	}

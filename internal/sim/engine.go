@@ -6,7 +6,6 @@
 package sim
 
 import (
-	"container/heap"
 	"math/rand"
 	"strconv"
 	"sync/atomic"
@@ -95,63 +94,20 @@ func (p *Prof) Total() uint64 {
 	return n
 }
 
-// Event is a scheduled callback. It can be cancelled before it fires.
-type Event struct {
-	at        units.Time
-	seq       uint64
-	fn        func()
-	eng       *Engine
-	comp      Comp
-	cancelled bool
-	index     int // heap index, -1 once popped
+// entry is one queued event, stored by value in the engine's heap and
+// ordered on (at, seq). A plain event carries fn and the component it is
+// attributed to; a timer event carries tm instead, and fn and comp are read
+// from the Timer when it fires (see Timer for the lazy re-arm rule).
+type entry struct {
+	at   units.Time
+	seq  uint64
+	fn   func()
+	tm   *Timer
+	comp Comp
 }
 
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-func (e *Event) Cancel() {
-	if e == nil || e.cancelled {
-		return
-	}
-	e.cancelled = true
-	e.fn = nil
-	if e.index >= 0 && e.eng != nil {
-		e.eng.live--
-	}
-}
-
-// Cancelled reports whether Cancel was called.
-func (e *Event) Cancelled() bool { return e == nil || e.cancelled }
-
-// Time returns the simulated time the event is scheduled for.
-func (e *Event) Time() units.Time { return e.at }
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+func (a *entry) before(b *entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // Engine is a single-threaded discrete-event simulator.
@@ -168,8 +124,8 @@ func (h *eventHeap) Pop() any {
 type Engine struct {
 	now     units.Time
 	seq     uint64
-	events  eventHeap
-	live    int // pending events not yet cancelled
+	q       []entry // binary min-heap on (at, seq)
+	live    int     // pending events that can still fire
 	rng     *rand.Rand
 	stopped bool
 	running atomic.Bool // guards Run against concurrent/re-entrant drivers
@@ -184,14 +140,17 @@ type Engine struct {
 
 	// Executed counts events that have fired, for progress reporting.
 	Executed uint64
-	// CancelledDrops counts cancelled events discarded from the head of the
-	// queue: scheduling churn (timer resets, subsumed kicks) the heap paid
-	// for without doing work. Engine self-profiling samples it.
+	// CancelledDrops counts queue entries discarded from the head without
+	// firing: the entry of a stopped timer, and an entry superseded when a
+	// Reset moved its timer's deadline earlier. Lazy re-arms (a Reset to a
+	// later or equal deadline) are not drops: they move the queued entry
+	// and never reach the head as waste. Engine self-profiling samples it.
 	CancelledDrops uint64
-	// MaxHeapDepth is the high-water mark of the event queue.
+	// MaxHeapDepth is the high-water mark of the event queue, counting
+	// entries that will be dropped.
 	MaxHeapDepth int
-	// MaxLive is the high-water mark of pending not-cancelled events — the
-	// heap depth net of cancellation churn.
+	// MaxLive is the high-water mark of pending events that can still fire
+	// — armed timers plus plain events.
 	MaxLive int
 }
 
@@ -210,40 +169,102 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // At schedules fn to run at absolute time t, attributed to the component
 // currently dispatching (CompOther outside any dispatch). Scheduling in
-// the past panics: it would silently reorder causality.
-func (e *Engine) At(t units.Time, fn func()) *Event {
-	return e.AtComp(t, e.comp, fn)
+// the past panics: it would silently reorder causality. A plain event
+// cannot be cancelled; use a Timer for a deadline that may move or stop.
+func (e *Engine) At(t units.Time, fn func()) {
+	e.AtComp(t, e.comp, fn)
 }
 
 // AtComp schedules fn at absolute time t attributed to component c,
 // overriding inheritance. The root scheduling sites (wire delivery, NIC
 // kicks, fault plans, probes, flow starts) use this to anchor attribution;
 // everything they transitively schedule inherits via At/After.
-func (e *Engine) AtComp(t units.Time, c Comp, fn func()) *Event {
+func (e *Engine) AtComp(t units.Time, c Comp, fn func()) {
 	if t < e.now {
 		panic("sim: event scheduled in the past")
 	}
 	e.seq++
-	ev := &Event{at: t, seq: e.seq, fn: fn, eng: e, comp: c}
-	heap.Push(&e.events, ev)
-	e.live++
-	if len(e.events) > e.MaxHeapDepth {
-		e.MaxHeapDepth = len(e.events)
-	}
-	if e.live > e.MaxLive {
-		e.MaxLive = e.live
-	}
-	return ev
+	e.push(entry{at: t, seq: e.seq, fn: fn, comp: c})
+	e.addLive()
 }
 
 // After schedules fn to run d after the current time.
-func (e *Engine) After(d units.Time, fn func()) *Event {
-	return e.AtComp(e.now+d, e.comp, fn)
+func (e *Engine) After(d units.Time, fn func()) {
+	e.AtComp(e.now+d, e.comp, fn)
 }
 
 // AfterComp schedules fn d after the current time attributed to component c.
-func (e *Engine) AfterComp(d units.Time, c Comp, fn func()) *Event {
-	return e.AtComp(e.now+d, c, fn)
+func (e *Engine) AfterComp(d units.Time, c Comp, fn func()) {
+	e.AtComp(e.now+d, c, fn)
+}
+
+func (e *Engine) addLive() {
+	e.live++
+	if e.live > e.MaxLive {
+		e.MaxLive = e.live
+	}
+}
+
+// push inserts x into the heap.
+func (e *Engine) push(x entry) {
+	e.q = append(e.q, x)
+	q := e.q
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !x.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = x
+	if len(q) > e.MaxHeapDepth {
+		e.MaxHeapDepth = len(q)
+	}
+}
+
+// replaceTop removes the root and inserts x in its place, bottom-up
+// (Floyd): the hole left by the root sinks along the smaller children to a
+// leaf, and x then rises from there. An entry taken from the back of the
+// heap, or a re-armed timer's later deadline, usually belongs near the
+// bottom, so this costs about one comparison per level where a top-down
+// sift costs two.
+func (e *Engine) replaceTop(x entry) {
+	q := e.q
+	n := len(q)
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && q[c+1].before(&q[c]) {
+			c++
+		}
+		q[i] = q[c]
+		i = c
+	}
+	for i > 0 {
+		p := (i - 1) / 2
+		if !x.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = x
+}
+
+// pop removes the root.
+func (e *Engine) pop() {
+	n := len(e.q) - 1
+	last := e.q[n]
+	e.q[n] = entry{} // release fn and tm to the GC
+	e.q = e.q[:n]
+	if n > 0 {
+		e.replaceTop(last)
+	}
 }
 
 // Comp returns the component of the event currently being dispatched.
@@ -271,30 +292,46 @@ func (e *Engine) Run(until units.Time) units.Time {
 	}
 	defer e.running.Store(false)
 	e.stopped = false
-	for len(e.events) > 0 && !e.stopped {
-		ev := e.events[0]
-		if ev.cancelled {
-			heap.Pop(&e.events)
+	for len(e.q) > 0 && !e.stopped {
+		top := &e.q[0]
+		tm := top.tm
+		if tm != nil && (top.seq != tm.qseq || !tm.armed) {
+			// Superseded by an earlier deadline, or the timer was stopped.
+			if top.seq == tm.qseq {
+				tm.qseq = 0
+			}
+			e.pop()
 			e.CancelledDrops++
 			continue
 		}
-		if until > 0 && ev.at > until {
+		if until > 0 && top.at > until {
 			e.now = until
 			return e.now
 		}
-		heap.Pop(&e.events)
+		fn, comp, at := top.fn, top.comp, top.at
+		if tm != nil {
+			if tm.seq != top.seq {
+				// The deadline moved later: re-queue under the seq Reset
+				// reserved, exactly where cancel-then-push would have put
+				// it. Nothing is dispatched.
+				tm.qat, tm.qseq = tm.at, tm.seq
+				e.replaceTop(entry{at: tm.at, seq: tm.seq, tm: tm})
+				continue
+			}
+			tm.armed, tm.qseq = false, 0
+			fn, comp = tm.Fn, tm.Comp
+		}
+		e.pop()
 		e.live--
-		e.now = ev.at
-		fn := ev.fn
-		ev.fn = nil
+		e.now = at
 		e.Executed++
-		e.comp = ev.comp
+		e.comp = comp
 		if p := e.prof; p != nil {
-			p.Counts[ev.comp]++
+			p.Counts[comp]++
 			if p.Wall != nil {
 				w0 := p.Wall()
 				fn()
-				p.WallNs[ev.comp] += p.Wall() - w0
+				p.WallNs[comp] += p.Wall() - w0
 				continue
 			}
 		}
@@ -306,29 +343,46 @@ func (e *Engine) Run(until units.Time) units.Time {
 	return e.now
 }
 
-// Pending returns the number of events still queued (including cancelled
-// events that have not yet been discarded).
-func (e *Engine) Pending() int { return len(e.events) }
+// Pending returns the number of entries still queued, including those that
+// will be dropped (stopped or superseded timers).
+func (e *Engine) Pending() int { return len(e.q) }
 
 // PendingActive returns the number of queued events that can still fire —
-// cancelled events awaiting discard are excluded. Periodic self-rescheduling
-// work (metrics probes) keys off this so a lingering cancelled timer far in
-// the future does not keep it alive.
+// entries awaiting discard are excluded. Periodic self-rescheduling work
+// (metrics probes) keys off this so a lingering stopped timer far in the
+// future does not keep it alive.
 func (e *Engine) PendingActive() int { return e.live }
 
-// Timer is a restartable one-shot timer, the building block for transport
-// retransmission timeouts. The zero value is an unarmed timer; set Fn before
-// arming it.
+// Timer is a restartable one-shot timer, the building block for
+// retransmission timeouts and pacing, and the engine's only cancellable
+// handle. The zero value is unusable; create timers with NewTimer.
+//
+// A Timer owns at most one live queue entry, keyed (qat, qseq). Reset
+// always reserves a fresh sequence number, as cancel-then-push would, so
+// the tie-break of every other event is unchanged. When the live entry is
+// due no later than the new deadline, Reset only records the deadline; when
+// that entry reaches the head, Run re-queues it under the reserved key.
+// Because every key pushed after a pop is larger than the popped one, the
+// re-queued entry sits exactly where a freshly pushed event would, so the
+// dispatch order equals cancel-then-push. An earlier deadline pushes a new
+// entry; the old one becomes an orphan that Run drops, as it drops the
+// entry of a stopped timer. Reset and Stop allocate nothing.
 type Timer struct {
 	eng *Engine
-	ev  *Event
 	// Fn runs when the timer expires.
 	Fn func()
 	// Comp attributes the timer's expiry dispatch; NewTimer defaults it to
 	// CompTimer so retransmission timeouts profile as timer work. Owners
 	// with a more specific identity (DCQCN rate timers → CompCC, NDP pacer
-	// → CompTransport) override it after construction.
+	// → CompTransport, NIC pacing kicks → CompNIC) override it after
+	// construction. It is read when the timer fires.
 	Comp Comp
+
+	armed bool
+	at    units.Time // deadline, valid while armed
+	seq   uint64     // sequence number Reset reserved for at
+	qat   units.Time // key of the live queue entry
+	qseq  uint64     // 0: no live entry
 }
 
 // NewTimer returns a timer bound to the engine, attributed to CompTimer.
@@ -336,31 +390,42 @@ func NewTimer(eng *Engine, fn func()) *Timer {
 	return &Timer{eng: eng, Fn: fn, Comp: CompTimer}
 }
 
-// Reset (re)arms the timer to fire d from now, cancelling any earlier
-// deadline.
+// Reset (re)arms the timer to fire d from now, replacing any earlier
+// deadline. A negative d panics, like scheduling an event in the past.
 func (t *Timer) Reset(d units.Time) {
-	t.Stop()
-	t.ev = t.eng.AfterComp(d, t.Comp, func() {
-		t.ev = nil
-		t.Fn()
-	})
+	e := t.eng
+	if d < 0 {
+		panic("sim: event scheduled in the past")
+	}
+	e.seq++
+	if !t.armed {
+		t.armed = true
+		e.addLive()
+	}
+	t.at, t.seq = e.now+d, e.seq
+	if t.qseq != 0 && t.qat <= t.at {
+		return
+	}
+	t.qat, t.qseq = t.at, t.seq
+	e.push(entry{at: t.at, seq: t.seq, tm: t})
 }
 
-// Stop disarms the timer if it is armed.
+// Stop disarms the timer if it is armed. Its queued entry is dropped when
+// it reaches the head, unless a later Reset re-arms the timer first.
 func (t *Timer) Stop() {
-	if t.ev != nil {
-		t.ev.Cancel()
-		t.ev = nil
+	if t.armed {
+		t.armed = false
+		t.eng.live--
 	}
 }
 
 // Armed reports whether the timer has a pending deadline.
-func (t *Timer) Armed() bool { return t.ev != nil }
+func (t *Timer) Armed() bool { return t.armed }
 
 // Deadline returns the absolute expiry time; valid only if Armed.
 func (t *Timer) Deadline() units.Time {
-	if t.ev == nil {
+	if !t.armed {
 		return 0
 	}
-	return t.ev.Time()
+	return t.at
 }

@@ -55,21 +55,20 @@ func TestSchedulingInPastPanics(t *testing.T) {
 func TestCancel(t *testing.T) {
 	eng := NewEngine(1)
 	fired := false
-	ev := eng.After(10, func() { fired = true })
-	ev.Cancel()
+	tm := NewTimer(eng, func() { fired = true })
+	tm.Reset(10)
+	tm.Stop()
 	eng.Run(0)
 	if fired {
-		t.Fatal("cancelled event fired")
+		t.Fatal("stopped timer fired")
 	}
-	if !ev.Cancelled() {
-		t.Fatal("Cancelled() should report true")
+	if tm.Armed() {
+		t.Fatal("Armed() should report false after Stop")
 	}
-	// Cancelling again (and cancelling nil) must be safe.
-	ev.Cancel()
-	var nilEv *Event
-	nilEv.Cancel()
-	if !nilEv.Cancelled() {
-		t.Fatal("nil event must report cancelled")
+	// Stopping again, after the entry was discarded, must be safe.
+	tm.Stop()
+	if eng.PendingActive() != 0 || eng.Pending() != 0 {
+		t.Fatalf("PendingActive=%d Pending=%d after drain", eng.PendingActive(), eng.Pending())
 	}
 }
 
@@ -274,17 +273,18 @@ func TestSelfProfilingCounters(t *testing.T) {
 	for i := 1; i <= 4; i++ {
 		eng.At(units.Time(i)*units.Microsecond, func() {})
 	}
-	cancelled := eng.At(5*units.Microsecond, func() {})
+	stopped := NewTimer(eng, func() { t.Fatal("stopped timer fired") })
+	stopped.Reset(5 * units.Microsecond)
 	if eng.PendingActive() != 5 {
 		t.Fatalf("PendingActive = %d, want 5", eng.PendingActive())
 	}
-	cancelled.Cancel()
-	cancelled.Cancel() // double-cancel must not double-count
+	stopped.Stop()
+	stopped.Stop() // double stop must not double-count
 	if eng.PendingActive() != 4 {
-		t.Fatalf("PendingActive = %d after cancel, want 4", eng.PendingActive())
+		t.Fatalf("PendingActive = %d after stop, want 4", eng.PendingActive())
 	}
 	if eng.Pending() != 5 {
-		t.Fatalf("Pending = %d, want 5 (cancelled event still queued)", eng.Pending())
+		t.Fatalf("Pending = %d, want 5 (stopped timer's entry still queued)", eng.Pending())
 	}
 	if eng.MaxHeapDepth != 5 {
 		t.Fatalf("MaxHeapDepth = %d, want 5", eng.MaxHeapDepth)

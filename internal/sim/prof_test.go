@@ -99,21 +99,22 @@ func TestTimerComp(t *testing.T) {
 	}
 }
 
-// TestMaxLive: the live high-water mark tracks pending not-cancelled
-// events, net of cancellation.
+// TestMaxLive: the live high-water mark tracks pending events that can
+// still fire, net of stopped timers.
 func TestMaxLive(t *testing.T) {
 	eng := NewEngine(1)
-	a := eng.At(1, func() {})
+	a := NewTimer(eng, func() {})
+	a.Reset(1)
 	eng.At(2, func() {})
 	eng.At(3, func() {})
 	if eng.MaxLive != 3 {
 		t.Fatalf("MaxLive = %d, want 3", eng.MaxLive)
 	}
-	a.Cancel()
+	a.Stop()
 	eng.At(4, func() {})
-	// 3 live again after one cancel + one add: high water still 3.
+	// 3 live again after one stop + one add: high water still 3.
 	if eng.MaxLive != 3 {
-		t.Fatalf("MaxLive = %d, want 3 after cancel+add", eng.MaxLive)
+		t.Fatalf("MaxLive = %d, want 3 after stop+add", eng.MaxLive)
 	}
 	eng.Run(0)
 	if eng.MaxLive != 3 {

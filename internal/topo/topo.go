@@ -364,25 +364,27 @@ func Clos(eng *sim.Engine, cfg ClosConfig) *Network {
 			faults.LinkEnd{Wire: uw, Egress: -1},
 			faults.LinkEnd{Wire: dw, Switch: leaves[l], Egress: down})
 	}
-	// Leaf <-> spine links (full bipartite).
+	// Leaf <-> spine links (full bipartite). Route lists are read-only, so
+	// every remote destination of a leaf shares the leaf's one uplink list,
+	// and every host under a leaf shares each spine's one down list.
 	for l, leaf := range leaves {
+		ups := make([]int, len(spines))
 		for s, spine := range spines {
 			uw := fabric.Attach(eng, cfg.SpineDelay, spine)
 			dw := fabric.Attach(eng, cfg.SpineDelay, leaf)
-			up := leaf.AddEgress(cfg.LinkRate, uw)
+			ups[s] = leaf.AddEgress(cfg.LinkRate, uw)
 			down := spine.AddEgress(cfg.LinkRate, dw)
 			net.addLink(fmt.Sprintf("leaf%d-spine%d", l, s),
-				faults.LinkEnd{Wire: uw, Switch: leaf, Egress: up},
+				faults.LinkEnd{Wire: uw, Switch: leaf, Egress: ups[s]},
 				faults.LinkEnd{Wire: dw, Switch: spine, Egress: down})
-			// Every spine reaches hosts under leaf l through this down port.
+			downs := []int{down}
 			for i := l * cfg.HostsPerLeaf; i < (l+1)*cfg.HostsPerLeaf; i++ {
-				spineRoutes[s][i] = []int{down}
+				spineRoutes[s][i] = downs
 			}
-			// Leaf uses every uplink for hosts outside its rack.
-			for i := 0; i < nHosts; i++ {
-				if i/cfg.HostsPerLeaf != l {
-					leafRoutes[l][i] = append(leafRoutes[l][i], up)
-				}
+		}
+		for i := 0; i < nHosts; i++ {
+			if i/cfg.HostsPerLeaf != l {
+				leafRoutes[l][i] = ups
 			}
 		}
 	}

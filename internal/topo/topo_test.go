@@ -1,6 +1,8 @@
 package topo
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"dcpsim/internal/fabric"
@@ -119,6 +121,48 @@ func TestClosConnectivity(t *testing.T) {
 	}
 	trs := installPings(net)
 	runFullMesh(t, net, trs)
+}
+
+// TestClosRoutesShared: every remote destination of a leaf gets the leaf's
+// uplinks in spine order, all from one backing array, and every host under
+// a leaf shares each spine's one down list.
+func TestClosRoutesShared(t *testing.T) {
+	cfg := DefaultClos()
+	cfg.Leaves, cfg.Spines, cfg.HostsPerLeaf = 4, 3, 2
+	net := Clos(sim.NewEngine(1), cfg)
+	nHosts := cfg.Leaves * cfg.HostsPerLeaf
+	for l := 0; l < cfg.Leaves; l++ {
+		ups := make([]int, cfg.Spines)
+		for s := range ups {
+			ups[s] = net.LinkEnds(fmt.Sprintf("leaf%d-spine%d", l, s))[0].Egress
+		}
+		var shared []int
+		for dst := 0; dst < nHosts; dst++ {
+			if dst/cfg.HostsPerLeaf == l {
+				continue
+			}
+			got := net.Switches[l].Route(packet.NodeID(dst))
+			if !slices.Equal(got, ups) {
+				t.Fatalf("leaf %d dst %d: candidates %v, want spine-ordered uplinks %v", l, dst, got, ups)
+			}
+			if shared == nil {
+				shared = got
+			} else if &got[0] != &shared[0] {
+				t.Fatalf("leaf %d dst %d: route list not shared with the leaf's other remote destinations", l, dst)
+			}
+		}
+		for s := 0; s < cfg.Spines; s++ {
+			spine := net.Switches[cfg.Leaves+s]
+			down := net.LinkEnds(fmt.Sprintf("leaf%d-spine%d", l, s))[1].Egress
+			first := spine.Route(packet.NodeID(l * cfg.HostsPerLeaf))
+			for dst := l * cfg.HostsPerLeaf; dst < (l+1)*cfg.HostsPerLeaf; dst++ {
+				got := spine.Route(packet.NodeID(dst))
+				if !slices.Equal(got, []int{down}) || &got[0] != &first[0] {
+					t.Fatalf("spine %d dst %d: candidates %v, want the leaf's shared down list [%d]", s, dst, got, down)
+				}
+			}
+		}
+	}
 }
 
 func TestClosECMPConnectivity(t *testing.T) {
